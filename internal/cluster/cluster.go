@@ -6,10 +6,10 @@
 // is how the fabric serves them.
 //
 // A study derives one single-job core.ProblemSpec per tenant plus a
-// weighted group spec, and solves them concurrently through a Solver —
-// typically *core.Engine, which bounds workers, deduplicates identical
-// solves via the spec fingerprint cache, and honors context
-// cancellation. Three allocation policies are compared:
+// weighted group spec, and solves them concurrently through a
+// frontier.Solver — typically *core.Engine, which bounds workers,
+// deduplicates identical solves via the spec fingerprint cache, and
+// honors context cancellation. Three allocation policies are compared:
 //
 //   - group-opt: one shared bandwidth configuration minimizing the
 //     weighted aggregate iteration time of every positive-weight job
@@ -41,15 +41,6 @@ import (
 	"libra/internal/frontier"
 	"libra/internal/topology"
 )
-
-// Solver answers the derived per-job and group specs; *core.Engine
-// satisfies it. Implementations must be safe for concurrent use —
-// Compute issues every optimization at once and bounds nothing itself.
-// The interface matches frontier.Solver, so the budget-axis composition
-// reuses the study's solver (and its cache) directly.
-type Solver interface {
-	Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error)
-}
 
 // GroupDesignName labels the group-optimized shared design in the
 // report's design list (and the Fig. 17 tables).
@@ -195,7 +186,7 @@ func (r *Report) GroupDesign() *Design {
 // per-job and per-design failures are reported in place. A context
 // progress hook observes the fan-out under the "cluster" stage (and the
 // budget-axis sweep under "cluster-frontier").
-func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
+func Compute(ctx context.Context, s frontier.Solver, spec *Spec) (*Report, error) {
 	if s == nil {
 		return nil, fmt.Errorf("cluster: nil solver")
 	}
@@ -254,8 +245,7 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 		wg       sync.WaitGroup
 		groupRes core.EngineResult
 		groupErr error
-		partRes  = make([]core.EngineResult, nJobs*shares)
-		partErr  = make([]error, nJobs*shares)
+		part     = make([]core.ChainPoint, nJobs*shares)
 	)
 	for i := range r.jobs {
 		wg.Add(1)
@@ -284,39 +274,19 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 			tracker.Tick(groupErr == nil && groupRes.Cached)
 		}()
 	}
-	// Each job's share grid is a sequential warm chain over ascending
-	// slice budgets — slice k seeds from slice k−1's optimum — while the
-	// per-job chains run concurrently. Warm state is attached after Clone
-	// (runtime-only solver fields never survive the JSON round-trip).
+	// Each job's share grid is a warm chain over ascending slice budgets,
+	// while the per-job chains run concurrently.
 	for job := 0; shares > 0 && job < nJobs; job++ {
 		wg.Add(1)
 		go func(job int) {
 			defer wg.Done()
-			var prevBW topology.BWConfig
-			var prevBudget float64
-			for k := 1; k <= shares; k++ {
-				cell := job*shares + k - 1
-				cspec := r.jobs[job].spec.Clone()
-				cspec.BudgetGBps = r.budget * float64(k) / float64(r.steps)
-				if warm := core.ScaleWarmStart(prevBW, prevBudget, cspec.BudgetGBps); warm != nil {
-					sol := &core.SolverSpec{}
-					if cspec.Solver != nil {
-						*sol = *cspec.Solver
-					}
-					sol.WarmStart = warm
-					cspec.Solver = sol
-				}
-				partRes[cell], partErr[cell] = s.Optimize(ctx, cspec)
-				if partErr[cell] != nil && cspec.Solver != nil && cspec.Solver.WarmStart != nil && ctx.Err() == nil {
-					// An unusable warm vector must not sink the cell.
-					cspec.Solver.WarmStart = nil
-					partRes[cell], partErr[cell] = s.Optimize(ctx, cspec)
-				}
-				if partErr[cell] == nil {
-					prevBW, prevBudget = partRes[cell].Result.BW, cspec.BudgetGBps
-				}
-				tracker.Tick(partErr[cell] == nil && partRes[cell].Cached)
+			budgets := make([]float64, shares)
+			for k := range budgets {
+				budgets[k] = r.budget * float64(k+1) / float64(r.steps)
 			}
+			chain := core.SpecChain(s.Optimize, r.jobs[job].spec, r.jobs[job].prob.Objective, budgets)
+			chain.Progress = tracker
+			copy(part[job*shares:], chain.Run(ctx))
 		}(job)
 	}
 	wg.Wait()
@@ -331,9 +301,9 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 	if wantGroup && groupErr == nil {
 		countHit(groupRes.Cached)
 	}
-	for i := range partRes {
-		if partErr[i] == nil {
-			countHit(partRes[i].Cached)
+	for _, pt := range part {
+		if pt.Err == nil {
+			countHit(pt.Cached)
 		}
 	}
 
@@ -426,7 +396,7 @@ func Compute(ctx context.Context, s Solver, spec *Spec) (*Report, error) {
 	}
 
 	if shares > 0 {
-		rep.Partition = bestPartition(r, rep.Jobs, partRes, partErr, shares)
+		rep.Partition = bestPartition(r, rep.Jobs, part, shares)
 	}
 	rep.Summary = summarize(rep)
 
@@ -524,15 +494,15 @@ func deriveMetrics(jobs []Job, weights, times []float64) Metrics {
 // exactly `steps` units granting every job at least one. Infeasible
 // cells (failed solves) price +Inf and simply lose the search; the
 // partition only fails when no composition is fully feasible.
-func bestPartition(r *resolved, jobs []Job, partRes []core.EngineResult, partErr []error, shares int) *Partition {
+func bestPartition(r *resolved, jobs []Job, part []core.ChainPoint, shares int) *Partition {
 	nJobs := len(r.jobs)
 	p := &Partition{Steps: r.steps}
 	cellTime := func(job, k int) float64 { // k is 1-based units
 		cell := job*shares + k - 1
-		if partErr[cell] != nil {
+		if part[cell].Err != nil {
 			return math.Inf(1)
 		}
-		return partRes[cell].Result.Times[0]
+		return part[cell].Result.Times[0]
 	}
 	// dp[j][s]: minimal weighted-time sum over the first j jobs using
 	// exactly s units; choose[j][s] records the winning slice of job j-1.
@@ -586,7 +556,7 @@ func bestPartition(r *resolved, jobs []Job, partRes []core.EngineResult, partErr
 	times := make([]float64, nJobs)
 	for i, k := range units {
 		p.SharesGBps[i] = r.budget * float64(k) / float64(r.steps)
-		res := partRes[i*shares+k-1].Result
+		res := part[i*shares+k-1].Result
 		p.JobBW[i] = res.BW
 		times[i] = res.Times[0]
 	}

@@ -520,3 +520,51 @@ func TestProgressMonotonic(t *testing.T) {
 		t.Error("inner frontier stage leaked through unrelabeled")
 	}
 }
+
+// slowWarmSolver answers through a real engine but doubles the time of
+// every warm-started answer at one budget, as a chain that latched onto
+// a worse basin would. Doubling always regresses past the predecessor
+// cell: with a purely 1/B bandwidth term, a 3/4 slice is at most 4/3×
+// slower than the full budget.
+type slowWarmSolver struct {
+	inner  *core.Engine
+	budget float64
+}
+
+func (s *slowWarmSolver) Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error) {
+	r, err := s.inner.Optimize(ctx, spec)
+	if err != nil || spec.BudgetGBps != s.budget || spec.Solver == nil || spec.Solver.WarmStart == nil {
+		return r, err
+	}
+	r.Result.Times = []float64{2 * r.Result.Times[0]} // fresh slice: the cache owns the original
+	r.Result.WeightedTime *= 2
+	return r, nil
+}
+
+// A partition cell whose warm answer regresses past its smaller-budget
+// neighbor is re-solved cold by the chain's monotonicity guard. One job
+// makes the split trivial: the whole budget, i.e. the regressed cell.
+func TestPartitionGuardReSolvesRegressedCell(t *testing.T) {
+	spec := tinySpec()
+	spec.Jobs = spec.Jobs[:1]
+	spec.Policies = []string{PolicyPerJobOpt}
+	ref, err := Compute(context.Background(), newEngine(t), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Policies = []string{PolicyPartition}
+	rep, err := Compute(context.Background(), &slowWarmSolver{inner: newEngine(t), budget: spec.BudgetGBps}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := rep.Partition
+	if p == nil || p.Error != "" || len(p.TimesS) != 1 {
+		t.Fatalf("partition = %+v", p)
+	}
+	if want := ref.Jobs[0].OwnTimeS; p.TimesS[0] != want {
+		t.Errorf("full-budget cell time = %v, want the cold re-solve's %v", p.TimesS[0], want)
+	}
+	if want := ref.Jobs[0].OwnOpt.BW; !reflect.DeepEqual(p.JobBW[0], want) {
+		t.Errorf("full-budget cell BW = %v, want the cold re-solve's %v", p.JobBW[0], want)
+	}
+}

@@ -91,18 +91,12 @@ type Problem struct {
 
 	// Constraints holds declarative, serializable design constraints
 	// (dimension caps/floors, ordering, pair sums, dollar budgets...)
-	// applied on top of the budget row. Unlike Extra they survive a
-	// Problem → ProblemSpec round-trip.
+	// applied on top of the budget row. They survive a Problem →
+	// ProblemSpec round-trip.
 	Constraints []ConstraintSpec
 
-	// Extra holds additional user constraints as an opaque callback. It
-	// remains as an escape hatch for constraint shapes ConstraintSpec
-	// cannot express, but makes the problem non-serializable: Spec()
-	// fails while Extra is set. May be nil.
-	Extra func(c *opt.Constraints)
-
-	// SkipBudget drops the ΣB budget row entirely, leaving only MinDimBW,
-	// Constraints, and Extra. Used for iso-cost designs where the binding
+	// SkipBudget drops the ΣB budget row entirely, leaving only MinDimBW
+	// and Constraints. Used for iso-cost designs where the binding
 	// constraint is a dollar budget instead of a bandwidth budget.
 	SkipBudget bool
 
@@ -361,15 +355,9 @@ func (p *Problem) EqualBW() (Result, error) {
 	return e.Evaluate(topology.EqualBW(p.BWBudget, p.Net.NumDims()))
 }
 
-// buildConstraints assembles the solver constraint set from the budget
-// row, the declarative constraint specs, and the Extra escape hatch.
-func (p *Problem) buildConstraints() (*opt.Constraints, error) {
-	return p.buildConstraintsAt(p.BWBudget)
-}
-
-// buildConstraintsAt is buildConstraints with the ΣB row pinned to an
-// explicit budget — the only per-point rebuild a budget sweep needs.
-func (p *Problem) buildConstraintsAt(budget float64) (*opt.Constraints, error) {
+// buildConstraints assembles the solver constraint set from the ΣB row,
+// pinned to budget, and the declarative constraint specs.
+func (p *Problem) buildConstraints(budget float64) (*opt.Constraints, error) {
 	n := p.Net.NumDims()
 	c := opt.NewConstraints(n).SetAllLower(p.minDimBW())
 	if !p.SkipBudget {
@@ -379,9 +367,6 @@ func (p *Problem) buildConstraintsAt(budget float64) (*opt.Constraints, error) {
 		if err := spec.apply(c, p); err != nil {
 			return nil, err
 		}
-	}
-	if p.Extra != nil {
-		p.Extra(c)
 	}
 	return c, nil
 }
@@ -404,10 +389,10 @@ func (p *Problem) OptimizeContext(ctx context.Context) (Result, error) {
 
 // Optimizer hoists every budget-independent preparation of a Problem out
 // of sweep loops: problem validation, the Actual-policy Evaluator (target
-// mappings + cost rates), and the optimizer-policy time closures. Sweeps
-// that solve one Problem at many budgets — frontier columns, partition
-// grids, the figure sweeps — build one Optimizer and call SolveBudget per
-// point, optionally warm-starting each point from its neighbor's solution.
+// mappings + cost rates), and the optimizer-policy time closures. A sweep
+// that solves one Problem at many budgets builds one Optimizer and runs a
+// WarmChain whose Solve calls SolveBudget, so each point warm-starts from
+// its neighbor's solution.
 //
 // The Optimizer reads p.Objective and p.Solver at each solve (the figure
 // sweeps flip the objective between solves of one problem); everything
@@ -450,23 +435,17 @@ func (o *Optimizer) Solve(ctx context.Context) (Result, error) {
 }
 
 // SolveBudget optimizes with the ΣB row pinned to budget, seeding the
-// multistart from warm — a neighboring point's solution, typically scaled
-// with ScaleWarmStart — or running cold when warm is nil. Warm solves use
+// multistart from warm — the neighboring point's solution a WarmChain
+// hands its Solve — or running cold when warm is nil. Warm solves use
 // opt.DefaultWarmTol for the adaptive cutoff unless the problem's solver
-// options already set one; if a warm solve fails, it is retried cold.
+// options already set one.
 func (o *Optimizer) SolveBudget(ctx context.Context, budget float64, warm []float64) (Result, error) {
 	so := o.p.Solver
 	so.WarmStart = warm
 	if warm != nil && so.WarmTol == 0 {
 		so.WarmTol = opt.DefaultWarmTol
 	}
-	res, err := o.solve(ctx, budget, so)
-	if err != nil && warm != nil && ctx.Err() == nil {
-		so.WarmStart = nil
-		so.WarmTol = o.p.Solver.WarmTol
-		return o.solve(ctx, budget, so)
-	}
-	return res, err
+	return o.solve(ctx, budget, so)
 }
 
 func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Options) (Result, error) {
@@ -480,7 +459,7 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 				budget, p.Net.NumDims(), minBW)
 		}
 	}
-	cons, err := p.buildConstraintsAt(budget)
+	cons, err := p.buildConstraints(budget)
 	if err != nil {
 		return Result{}, err
 	}
@@ -523,27 +502,6 @@ func (o *Optimizer) solve(ctx context.Context, budget float64, solverOpts opt.Op
 		return Result{}, fmt.Errorf("core: %s solve failed: %w", p.Objective, err)
 	}
 	return o.eval.Evaluate(topology.BWConfig(sol.X))
-}
-
-// ScaleWarmStart rescales a neighboring design point's bandwidth vector to
-// a new budget, preserving the relative allocation: with the ΣB = budget
-// row active, scaling by to/from lands exactly on the new budget plane,
-// which is what keeps the projected warm start adjacent to the neighbor's
-// optimum and lets the adaptive cutoff fire. Returns nil — no warm start —
-// for unusable inputs.
-func ScaleWarmStart(bw topology.BWConfig, from, to float64) []float64 {
-	if len(bw) == 0 || !(from > 0) || !(to > 0) {
-		return nil
-	}
-	f := to / from
-	out := make([]float64, len(bw))
-	for i, v := range bw {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil
-		}
-		out[i] = v * f
-	}
-	return out
 }
 
 // EqualBWForCost returns the EqualBW bandwidth per dimension that exactly

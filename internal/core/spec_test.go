@@ -249,20 +249,6 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// Problems with an opaque Extra callback are not serializable.
-func TestSpecRejectsOpaqueExtra(t *testing.T) {
-	p := NewProblem(topology.FourD4K(), 500)
-	w, err := workload.GPT3(4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.AddTarget(w, 1)
-	p.Extra = func(c *opt.Constraints) {}
-	if _, err := p.Spec(); err == nil {
-		t.Fatal("expected error for Extra callback")
-	}
-}
-
 // The spec-built problem and the classic construction path must price
 // design points identically, and declarative constraints must bind.
 func TestSpecBuildMatchesClassicPath(t *testing.T) {

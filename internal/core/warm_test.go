@@ -110,7 +110,7 @@ func TestSolverSpecOptionsWarmDefaults(t *testing.T) {
 }
 
 func TestScaleWarmStart(t *testing.T) {
-	got := ScaleWarmStart(topology.BWConfig{30, 20, 10}, 60, 120)
+	got := scaleWarmStart(topology.BWConfig{30, 20, 10}, 60, 120)
 	want := []float64{60, 40, 20}
 	if len(got) != len(want) {
 		t.Fatalf("scaled = %v, want %v", got, want)
@@ -135,7 +135,7 @@ func TestScaleWarmStart(t *testing.T) {
 		{"Inf entry", topology.BWConfig{math.Inf(1)}, 60, 120},
 	}
 	for _, c := range bad {
-		if got := ScaleWarmStart(c.bw, c.from, c.to); got != nil {
+		if got := scaleWarmStart(c.bw, c.from, c.to); got != nil {
 			t.Errorf("%s: got %v, want nil", c.name, got)
 		}
 	}
@@ -174,7 +174,7 @@ func TestOptimizerSolveBudgetWarmMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := o.SolveBudget(ctx, 300, ScaleWarmStart(prev.BW, 250, 300))
+	warm, err := o.SolveBudget(ctx, 300, scaleWarmStart(prev.BW, 250, 300))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,29 +94,29 @@ func Fig18CostSensitivity(ctx context.Context) (*Table, error) {
 	// The cost points chain: each solve warm-starts from the previous
 	// point's optimum (same network, workload, and budget — only the cost
 	// table moves, so the neighboring optimum is an excellent seed).
-	var prevBW topology.BWConfig
-	for _, dollars := range []float64{1, 2, 3, 4, 5} {
-		p := core.NewProblem(net, 1000, w)
-		p.Cost = cost.Default().WithPackageLink(dollars)
-		p.Objective = core.PerfPerCostOpt
-		o, err := p.NewOptimizer()
-		if err != nil {
-			return nil, err
+	dollars := []float64{1, 2, 3, 4, 5}
+	eqs := make([]core.Result, len(dollars))
+	pts := core.WarmChain{Objective: core.PerfPerCostOpt, Budgets: []float64{1000, 1000, 1000, 1000, 1000},
+		Solve: func(ctx context.Context, i int, warm []float64) (core.EngineResult, error) {
+			p := core.NewProblem(net, 1000, w)
+			p.Cost = cost.Default().WithPackageLink(dollars[i])
+			p.Objective = core.PerfPerCostOpt
+			o, err := p.NewOptimizer()
+			if err == nil {
+				eqs[i], err = o.Evaluator().Evaluate(topology.EqualBW(1000, net.NumDims()))
+			}
+			if err != nil {
+				return core.EngineResult{}, err
+			}
+			r, err := o.SolveBudget(ctx, 1000, warm)
+			return core.EngineResult{Result: r}, err
+		}}.Run(ctx)
+	for i, pt := range pts {
+		if pt.Err != nil {
+			return nil, pt.Err
 		}
-		eq, err := o.Evaluator().Evaluate(topology.EqualBW(1000, net.NumDims()))
-		if err != nil {
-			return nil, err
-		}
-		var warm []float64
-		if prevBW != nil {
-			warm = core.ScaleWarmStart(prevBW, 1000, 1000)
-		}
-		r, err := o.SolveBudget(ctx, 1000, warm)
-		if err != nil {
-			return nil, err
-		}
-		prevBW = r.BW
-		t.AddRow(f2(dollars), f2(r.PerfPerCost()/eq.PerfPerCost()), f2(eq.WeightedTime/r.WeightedTime))
+		r, eq := pt.Result, eqs[i]
+		t.AddRow(f2(dollars[i]), f2(r.PerfPerCost()/eq.PerfPerCost()), f2(eq.WeightedTime/r.WeightedTime))
 	}
 	t.AddNote("paper: average 4.06x (max 5.59x) perf-per-cost over EqualBW across the sweep")
 	return t, nil

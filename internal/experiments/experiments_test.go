@@ -32,6 +32,24 @@ func cellF(t *testing.T, tbl *Table, i int, col string) float64 {
 	return v
 }
 
+// matchGoldenCSV pins a warm-chained figure byte for byte: the table's
+// CSV must equal testdata/<id>.csv, recorded in quick mode by
+// `go run ./cmd/experiments -quick -only <id> -out <dir>`.
+func matchGoldenCSV(t *testing.T, tbl *Table) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tbl.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", tbl.ID+".csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("%s CSV drifted from testdata/%s.csv:\ngot:\n%s\nwant:\n%s", tbl.ID, tbl.ID, buf.Bytes(), want)
+	}
+}
+
 func TestFig01Shape(t *testing.T) {
 	tbl, err := Fig01CommSizes(context.Background())
 	if err != nil {
@@ -147,6 +165,7 @@ func TestFig13Fig14Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchGoldenCSV(t, tbl)
 	if len(tbl.Rows) != 18 { // 3 workloads × 2 networks × 3 budgets
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -186,6 +205,7 @@ func TestFig15Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchGoldenCSV(t, tbl)
 	for i := range tbl.Rows {
 		if sp := cellF(t, tbl, i, "speedup_perfopt"); sp < 0.99 {
 			t.Errorf("row %d PerfOpt speedup %v < 1", i, sp)
@@ -202,6 +222,7 @@ func TestFig16Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchGoldenCSV(t, tbl)
 	if len(tbl.Rows) != 9 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -242,6 +263,7 @@ func TestFig18Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matchGoldenCSV(t, tbl)
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}

@@ -24,8 +24,8 @@ func Budgets(quick bool) []float64 {
 // models mappings with the paper's IdealFullDims simplification;
 // evaluation uses the Actual mapping (reproducing the GPT-3 + 4D-4K
 // anomaly of §VI-A). Problem preparation (workload validation, mapping
-// resolution) is hoisted out of the loop, and each budget's two solves are
-// warm-started from the previous budget's optima.
+// resolution) is hoisted out of the loop, and each objective's solves run
+// as one warm chain over the budgets.
 func designSweep(ctx context.Context, net *topology.Network, w *workload.Workload, budgets []float64,
 	visit func(budget float64, eq, perf, ppc core.Result)) error {
 	if len(budgets) == 0 {
@@ -37,38 +37,28 @@ func designSweep(ctx context.Context, net *topology.Network, w *workload.Workloa
 	if err != nil {
 		return err
 	}
+	chain := func(obj core.Objective) []core.ChainPoint {
+		p.Objective = obj
+		return core.WarmChain{Objective: obj, Budgets: budgets,
+			Solve: func(ctx context.Context, i int, warm []float64) (core.EngineResult, error) {
+				r, err := o.SolveBudget(ctx, budgets[i], warm)
+				return core.EngineResult{Result: r}, err
+			}}.Run(ctx)
+	}
+	perf, ppc := chain(core.PerfOpt), chain(core.PerfPerCostOpt)
 	ndims := net.NumDims()
-	var perfPrev, ppcPrev core.Result
-	var prevBudget float64
-	for _, budget := range budgets {
+	for i, budget := range budgets {
 		eq, err := o.Evaluator().Evaluate(topology.EqualBW(budget, ndims))
 		if err != nil {
 			return err
 		}
-		var warmPerf, warmPPC []float64
-		if prevBudget > 0 {
-			warmPerf = core.ScaleWarmStart(perfPrev.BW, prevBudget, budget)
-			warmPPC = core.ScaleWarmStart(ppcPrev.BW, prevBudget, budget)
-		}
-		p.Objective = core.PerfOpt
-		perf, err := o.SolveBudget(ctx, budget, warmPerf)
-		if err != nil {
+		if err := perf[i].Err; err != nil {
 			return err
 		}
-		// More budget can never cost time under the perf objective; a warm
-		// chain that regressed gets a cold re-solve, keeping the better.
-		if warmPerf != nil && perf.WeightedTime > perfPrev.WeightedTime*(1+1e-9) {
-			if cold, coldErr := o.SolveBudget(ctx, budget, nil); coldErr == nil && cold.WeightedTime < perf.WeightedTime {
-				perf = cold
-			}
-		}
-		p.Objective = core.PerfPerCostOpt
-		ppc, err := o.SolveBudget(ctx, budget, warmPPC)
-		if err != nil {
+		if err := ppc[i].Err; err != nil {
 			return err
 		}
-		visit(budget, eq, perf, ppc)
-		perfPrev, ppcPrev, prevBudget = perf, ppc, budget
+		visit(budget, eq, perf[i].Result, ppc[i].Result)
 	}
 	return nil
 }

@@ -23,13 +23,12 @@ import (
 	"time"
 
 	"libra/internal/core"
-	"libra/internal/telemetry"
 	"libra/internal/topology"
 )
 
 // Solver solves one derived spec; *core.Engine satisfies it. Implementors
 // must be safe for concurrent use — Compute runs one chain per cap column
-// concurrently.
+// concurrently, and cluster.Compute issues its whole study at once.
 type Solver interface {
 	Optimize(ctx context.Context, spec *core.ProblemSpec) (core.EngineResult, error)
 }
@@ -212,77 +211,36 @@ func Compute(ctx context.Context, s Solver, base *core.ProblemSpec, req Request)
 	}
 	sort.SliceStable(order, func(a, b int) bool { return budgets[order[a]] < budgets[order[b]] })
 
-	// pointSpec derives the point's spec from the base. Warm state is
-	// attached after cloning — Clone round-trips JSON and warm fields are
-	// runtime-only (json:"-"), so it can never carry them.
-	pointSpec := func(pt *Point, warm []float64) *core.ProblemSpec {
-		spec := base.Clone()
-		spec.BudgetGBps = pt.BudgetGBps
-		if req.CapDim > 0 {
-			spec.Constraints = append(spec.Constraints, core.DimCap(req.CapDim, pt.CapGBps))
-		}
-		if warm != nil {
-			sol := &core.SolverSpec{}
-			if spec.Solver != nil {
-				*sol = *spec.Solver
-			}
-			sol.WarmStart = warm
-			spec.Solver = sol
-		}
-		return spec
+	chainLen := len(order)
+	if req.NoWarmStart {
+		chainLen = 1 // every point is its own cold chain
 	}
-	solveOne := func(pt *Point, warm []float64) {
-		spec := pointSpec(pt, warm)
-		r, err := s.Optimize(ctx, spec)
-		if err != nil && warm != nil && ctx.Err() == nil {
-			// An unusable warm vector must not sink the point: retry cold.
-			spec.Solver.WarmStart = nil
-			r, err = s.Optimize(ctx, spec)
-		}
-		if err != nil {
-			pt.Err, pt.Error = err, err.Error()
-			tracker.Tick(false)
-			return
-		}
-		pt.Result = r.Result
-		pt.Fingerprint = r.Fingerprint
-		pt.Cached = r.Cached
-		tracker.Tick(r.Cached)
-	}
-	perfObjective := baseProblem.Objective == core.PerfOpt
-
 	var wg sync.WaitGroup
 	for ci := range caps {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			var prev *Point
-			for _, bi := range order {
-				pt := &res.Points[bi*len(caps)+ci]
-				var warm []float64
-				if !req.NoWarmStart && prev != nil {
-					warm = core.ScaleWarmStart(prev.Result.BW, prev.BudgetGBps, pt.BudgetGBps)
+			colBase := base
+			if req.CapDim > 0 {
+				colBase = base.Clone()
+				colBase.Constraints = append(colBase.Constraints, core.DimCap(req.CapDim, caps[ci]))
+			}
+			for lo := 0; lo < len(order); lo += chainLen {
+				idx := order[lo : lo+chainLen]
+				chainBudgets := make([]float64, len(idx))
+				for k, bi := range idx {
+					chainBudgets[k] = budgets[bi]
 				}
-				solveOne(pt, warm)
-				if pt.Err != nil {
-					continue // keep the last good neighbor as the seed
-				}
-				// Under the perf objective more budget can never cost time,
-				// so a warm-started point slower than its smaller-budget
-				// neighbor means the chain latched onto a worse basin.
-				// Re-solve cold (directly — the solver's cache already holds
-				// the warm answer for this fingerprint) and keep the better.
-				if warm != nil && perfObjective &&
-					pt.Result.WeightedTime > prev.Result.WeightedTime*(1+1e-9) {
-					telemetry.WarmGuardTrips.Inc()
-					if p, err := pointSpec(pt, nil).Build(); err == nil {
-						if r, err := p.OptimizeContext(ctx); err == nil && r.WeightedTime < pt.Result.WeightedTime {
-							pt.Result = r
-							pt.Cached = false
-						}
+				chain := core.SpecChain(s.Optimize, colBase, baseProblem.Objective, chainBudgets)
+				chain.Progress = tracker
+				for k, cp := range chain.Run(ctx) {
+					pt := &res.Points[idx[k]*len(caps)+ci]
+					if cp.Err != nil {
+						pt.Err, pt.Error = cp.Err, cp.Err.Error()
+					} else {
+						pt.Result, pt.Fingerprint, pt.Cached = cp.Result, cp.Fingerprint, cp.Cached
 					}
 				}
-				prev = pt
 			}
 		}(ci)
 	}

@@ -706,8 +706,8 @@ type ClusterMetrics = cluster.Metrics
 type ClusterPolicySummary = cluster.PolicySummary
 
 // ClusterSolver solves the derived per-job specs of a cluster study;
-// *Engine satisfies it.
-type ClusterSolver = cluster.Solver
+// *Engine satisfies it. It is the same interface as FrontierSolver.
+type ClusterSolver = frontier.Solver
 
 // Cluster allocation policies.
 const (
