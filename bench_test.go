@@ -319,6 +319,19 @@ func BenchmarkPolyhedronProjection(b *testing.B) {
 	}
 }
 
+// BenchmarkSimplexBoxProjection projects onto {ΣB = budget, floors, one
+// cap}: the closed-form path. BenchmarkPolyhedronProjection's ordering
+// row keeps it on the general active-set path.
+func BenchmarkSimplexBoxProjection(b *testing.B) {
+	c := opt.NewConstraints(4).SumEquals(500).SetAllLower(0.1)
+	c.VarAtMost(3, 50)
+	x := []float64{900, -20, 70, 300}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opt.Project(c, x)
+	}
+}
+
 func BenchmarkPipelineSim64Chunks(b *testing.B) {
 	net := topology.FourD4K()
 	mp := collective.FullMapping(net)

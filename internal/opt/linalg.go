@@ -13,8 +13,10 @@
 //     Nelder-Mead) recovers the global optimum at LIBRA's dimensionality
 //     (N ≤ 8).
 //
-// Projections onto the constraint polyhedron use a primal active-set
-// convex QP solver with a Dykstra alternating-projection fallback.
+// Projections onto the constraint polyhedron are closed-form for the
+// common weighted simplex-box set ({w·x = b, lo ≤ x ≤ hi}, w > 0, which
+// covers ΣB = budget); any other set uses a primal active-set convex QP
+// solver with a Dykstra alternating-projection fallback.
 package opt
 
 import (

@@ -5,35 +5,44 @@ import (
 )
 
 // Project returns the Euclidean projection of x0 onto the constraint
-// polyhedron. It runs the primal active-set QP solver (Q = I) and falls
-// back to Dykstra's alternating projections if the active-set method
-// stalls on a degenerate working set. The result is clipped into the box
-// bounds as a final guard.
+// polyhedron. A weighted simplex-box set ({w·x = b, lo ≤ x ≤ hi} with
+// w > 0) is projected in closed form; any other set runs the primal
+// active-set QP solver (Q = I), falling back to Dykstra's alternating
+// projections if the active-set method stalls on a degenerate working
+// set.
 //
 // Hot loops that project repeatedly onto one constraint set should hold a
-// projector instead: Project builds the scratch buffers fresh on every
-// call.
+// projector instead: Project builds one fresh on every call.
 func Project(c *Constraints, x0 []float64) []float64 {
 	pr := newProjector(c)
 	return clone(pr.project(x0))
 }
 
 // projector performs repeated Euclidean projections onto one constraint
-// set, reusing the materialized row table and every correction/scratch
-// buffer across calls — the projection inner loops are the solver's
-// allocation hot spot. The slice project returns aliases internal scratch:
-// it is valid only until the next call, must be cloned if kept, and must
-// never be fed back in as a later input. Not safe for concurrent use; each
-// local search owns one.
+// set, reusing its scratch buffers across calls — the projection inner
+// loops are the solver's allocation hot spot. The slice project returns
+// aliases internal scratch: it is valid only until the next call, must be
+// cloned if kept, and must never be fed back in as a later input. Not
+// safe for concurrent use; each start owns one.
 type projector struct {
-	c    *Constraints
-	rows []row
-	n    int
-	res  []float64 // result buffer aliased by project's return value
-	y    []float64 // Dykstra: x + p_i scratch
-	rp   []float64 // Dykstra: single-row projection scratch
-	corr []float64 // Dykstra: correction vectors, flat len(rows)·n
-	prev []float64 // Dykstra: previous iterate
+	c   *Constraints
+	n   int
+	res []float64 // result buffer aliased by project's return value
+	// Closed-form state, set by newProjector when the set is a weighted
+	// simplex-box: the equality row's weights and right-hand side, and
+	// scratch for the ≤ 2n sorted breakpoints. w is nil otherwise.
+	w   []float64
+	b   float64
+	bps []float64
+
+	// General-path state, built by initGeneral on first use so that
+	// closed-form projectors never pay for it.
+	general bool
+	rows    []row
+	y       []float64 // Dykstra: x + p_i scratch
+	rp      []float64 // Dykstra: single-row projection scratch
+	corr    []float64 // Dykstra: correction vectors, flat len(rows)·n
+	prev    []float64 // Dykstra: previous iterate
 	// prevCorr mirrors corr for the drift test.
 	prevCorr  []float64
 	inWorking []bool
@@ -51,27 +60,39 @@ type projector struct {
 }
 
 func newProjector(c *Constraints) *projector {
-	rows := c.rows()
-	n := c.n
-	return &projector{
-		c:         c,
-		rows:      rows,
-		n:         n,
-		res:       make([]float64, n),
-		y:         make([]float64, n),
-		rp:        make([]float64, n),
-		corr:      make([]float64, len(rows)*n),
-		prev:      make([]float64, n),
-		prevCorr:  make([]float64, len(rows)*n),
-		inWorking: make([]bool, len(rows)),
-		working:   make([]int, 0, len(rows)),
-		corrZero:  make([]bool, len(rows)),
-		kktFlat:   make([]float64, len(rows)*(len(rows)+1)),
-		kktRows:   make([][]float64, len(rows)),
-		lam:       make([]float64, len(rows)),
-		z:         make([]float64, n),
-		dir:       make([]float64, n),
+	pr := &projector{c: c, n: c.n, res: make([]float64, c.n)}
+	if w, b, ok := c.simplexBox(); ok {
+		pr.w, pr.b = w, b
+		pr.bps = make([]float64, 0, 2*c.n)
 	}
+	return pr
+}
+
+// simplexBox classifies the set: it reports the single equality row when
+// the set is exactly box bounds plus one row w·x = b with finite positive
+// weights, and that row meets the box (w·lo ≤ b ≤ w·hi). Every other
+// shape — inequality rows, several equalities, a zero or negative weight,
+// an empty set — is not handled in closed form.
+func (c *Constraints) simplexBox() (w []float64, b float64, ok bool) {
+	if len(c.ineqA) != 0 || len(c.eqA) != 1 {
+		return nil, 0, false
+	}
+	w, b = c.eqA[0], c.eqB[0]
+	if math.IsNaN(b) || math.IsInf(b, 0) {
+		return nil, 0, false
+	}
+	wlo, whi := 0.0, 0.0
+	for i, wi := range w {
+		if !(wi > 0) || math.IsInf(wi, 1) || c.lo[i] > c.hi[i] {
+			return nil, 0, false
+		}
+		wlo += wi * c.lo[i]
+		whi += wi * c.hi[i]
+	}
+	if b < wlo || b > whi {
+		return nil, 0, false
+	}
+	return w, b, true
 }
 
 // project computes the projection of x0 into pr.res and returns it. x0
@@ -81,6 +102,9 @@ func (pr *projector) project(x0 []float64) []float64 {
 		copy(pr.res, x0)
 		return pr.res
 	}
+	if pr.closedForm(x0) && pr.c.Feasible(pr.res, 1e-9) {
+		return pr.res
+	}
 	if pr.activeSet(x0) && pr.c.Feasible(pr.res, 1e-7) {
 		return pr.res
 	}
@@ -88,11 +112,125 @@ func (pr *projector) project(x0 []float64) []float64 {
 	return pr.res
 }
 
+// closedForm projects y onto a weighted simplex-box into pr.res and
+// reports whether it handled the set. The projection is
+// x = clip(y − λw, lo, hi), where λ solves g(λ) = w·x(λ) = b. g is
+// nonincreasing and piecewise linear with kinks at the breakpoints
+// (y_i − lo_i)/w_i and (y_i − hi_i)/w_i, so λ is found by bracketing b
+// between two sorted breakpoints and solving the linear piece between
+// them exactly. Allocation-free: the breakpoints live in pr.bps.
+//
+//libra:hotpath
+func (pr *projector) closedForm(y []float64) bool {
+	w, lo, hi, x := pr.w, pr.c.lo, pr.c.hi, pr.res
+	if w == nil {
+		return false
+	}
+	bps := pr.bps[:0]
+	for i, wi := range w {
+		if !math.IsInf(lo[i], -1) {
+			bps = append(bps, (y[i]-lo[i])/wi)
+		}
+		if !math.IsInf(hi[i], 1) {
+			bps = append(bps, (y[i]-hi[i])/wi)
+		}
+	}
+	for i := 1; i < len(bps); i++ {
+		for j := i; j > 0 && bps[j] < bps[j-1]; j-- {
+			bps[j], bps[j-1] = bps[j-1], bps[j]
+		}
+	}
+	// k is the first breakpoint with g ≤ b, so λ lies in the open piece
+	// (a, c) = (bps[k−1], bps[k]), with a = −∞ when k = 0 and c = +∞ when
+	// k = len(bps); g(a) > b ≥ g(c) makes the piece non-empty.
+	k := 0
+	for k < len(bps) && pr.g(y, bps[k]) > pr.b {
+		k++
+	}
+	a, c := math.Inf(-1), math.Inf(1)
+	if k > 0 {
+		a = bps[k-1]
+	}
+	if k < len(bps) {
+		c = bps[k]
+	}
+	num, den := -pr.b, 0.0
+	for i, wi := range w {
+		if v, ok := pr.pinned(i, y, a, c); ok {
+			num += wi * v
+		} else {
+			num += wi * y[i]
+			den += wi * wi
+		}
+	}
+	lam := 0.0
+	if den > 0 {
+		lam = num / den
+	}
+	for i, wi := range w {
+		if v, ok := pr.pinned(i, y, a, c); ok {
+			x[i] = v
+		} else {
+			x[i] = math.Min(math.Max(y[i]-lam*wi, lo[i]), hi[i])
+		}
+	}
+	return true
+}
+
+// pinned reports the bound variable i sits at throughout the piece
+// (a, c): hi while λ stays at or below its hi breakpoint, lo while λ stays
+// at or above its lo breakpoint. Otherwise the variable is free there.
+func (pr *projector) pinned(i int, y []float64, a, c float64) (float64, bool) {
+	wi, lo, hi := pr.w[i], pr.c.lo[i], pr.c.hi[i]
+	if !math.IsInf(hi, 1) && (y[i]-hi)/wi >= c {
+		return hi, true
+	}
+	if !math.IsInf(lo, -1) && (y[i]-lo)/wi <= a {
+		return lo, true
+	}
+	return 0, false
+}
+
+// g evaluates w·clip(y − λw, lo, hi).
+func (pr *projector) g(y []float64, lam float64) float64 {
+	s := 0.0
+	for i, wi := range pr.w {
+		s += wi * math.Min(math.Max(y[i]-lam*wi, pr.c.lo[i]), pr.c.hi[i])
+	}
+	return s
+}
+
+// initGeneral materializes the row table and the active-set and Dykstra
+// scratch the first time a projection needs the general path.
+func (pr *projector) initGeneral() {
+	if pr.general {
+		return
+	}
+	pr.general = true
+	rows := pr.c.rows()
+	n, m := pr.n, len(rows)
+	pr.rows = rows
+	pr.y = make([]float64, n)
+	pr.rp = make([]float64, n)
+	pr.corr = make([]float64, m*n)
+	pr.prev = make([]float64, n)
+	pr.prevCorr = make([]float64, m*n)
+	pr.inWorking = make([]bool, m)
+	pr.working = make([]int, 0, m)
+	pr.corrZero = make([]bool, m)
+	pr.kktFlat = make([]float64, m*(m+1))
+	pr.kktRows = make([][]float64, m)
+	pr.lam = make([]float64, m)
+	pr.z = make([]float64, n)
+	pr.dir = make([]float64, n)
+}
+
 // dykstra implements Dykstra's alternating-projection algorithm over the
 // polyhedron's halfspaces and hyperplanes, writing the result into pr.res.
 // It converges to the exact Euclidean projection for convex sets; each
 // elementary projection is closed-form.
 func (pr *projector) dykstra(x0 []float64, maxSweeps int, tol float64) {
+	pr.initGeneral()
 	rows := pr.rows
 	x := pr.res
 	copy(x, x0)
@@ -186,6 +324,7 @@ func normDiff(a, b []float64) float64 {
 // fails to make progress (cycling or singular KKT), in which case the
 // caller should fall back to Dykstra.
 func (pr *projector) activeSet(x0 []float64) bool {
+	pr.initGeneral()
 	rows := pr.rows
 	// Feasible start: a few Dykstra sweeps are enough to get inside.
 	pr.dykstra(x0, 300, 1e-11)

@@ -249,14 +249,17 @@ type startOutcome struct {
 //libra:hotpath
 func runStart(ctx context.Context, p Problem, start []float64, o Options) startOutcome {
 	telemetry.SolverStarts.Inc()
+	// One projector serves the whole start: the local search and the
+	// polish project onto the same set.
+	pr := newProjector(p.Cons)
 	switch o.Strategy {
 	case StrategyCoordinateDescent:
-		x, f, conv := coordinateDescent(ctx, p, start, o)
+		x, f, conv := coordinateDescent(ctx, p, pr, start, o)
 		return startOutcome{x: x, f: f, conv: conv}
 	default: // StrategyProjectedGradient
-		x, f, conv, pgdIters := projectedGradient(ctx, p, start, o)
+		x, f, conv, pgdIters := projectedGradient(ctx, p, pr, start, o)
 		// Polish with direct search from the PGD endpoint.
-		x2, f2, nmIters := nelderMead(ctx, p, x, o)
+		x2, f2, nmIters := nelderMead(ctx, p, pr, x, o)
 		// Iteration totals land as two atomic adds per start — the inner
 		// loops stay untouched.
 		telemetry.SolverPGDIterations.Add(uint64(pgdIters))
@@ -429,8 +432,9 @@ func seedPoints(p Problem, o Options) (seeds [][]float64, warm bool) {
 		}
 	}
 
+	pr := newProjector(c)
 	add := func(raw []float64) {
-		x := Project(c, raw)
+		x := clone(pr.project(raw))
 		if !c.Feasible(x, 1e-6) {
 			return
 		}
@@ -533,7 +537,7 @@ func numGradInto(g []float64, f func([]float64) float64, x, xp, xm []float64) {
 // descent iterations executed, for the caller's telemetry.
 //
 //libra:hotpath
-func projectedGradient(ctx context.Context, p Problem, start []float64, o Options) (x []float64, f float64, converged bool, iters int) {
+func projectedGradient(ctx context.Context, p Problem, pr *projector, start []float64, o Options) (x []float64, f float64, converged bool, iters int) {
 	n := len(start)
 	grad := p.Grad
 	if grad == nil {
@@ -543,7 +547,6 @@ func projectedGradient(ctx context.Context, p Problem, start []float64, o Option
 			return gbuf
 		}
 	}
-	pr := newProjector(p.Cons)
 	cand := make([]float64, n)
 	x = clone(start)
 	f = p.Objective(x)
@@ -595,7 +598,7 @@ func projectedGradient(ctx context.Context, p Problem, start []float64, o Option
 // simplex iterations executed, for the caller's telemetry.
 //
 //libra:hotpath
-func nelderMead(ctx context.Context, p Problem, start []float64, o Options) (_ []float64, _ float64, iters int) {
+func nelderMead(ctx context.Context, p Problem, pr *projector, start []float64, o Options) (_ []float64, _ float64, iters int) {
 	n := p.N
 	mu := 1e6 * math.Max(1, math.Abs(p.Objective(start)))
 	pen := func(x []float64) float64 {
@@ -704,7 +707,7 @@ func nelderMead(ctx context.Context, p Problem, start []float64, o Options) (_ [
 		}
 	}
 	order()
-	best := Project(p.Cons, simplex[0])
+	best := clone(pr.project(simplex[0]))
 	fb := p.Objective(best)
 	if math.IsInf(fb, 1) {
 		return clone(start), p.Objective(start), iters

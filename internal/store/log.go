@@ -87,8 +87,8 @@ type Record struct {
 // EncodeRecord returns the record's canonical frame bytes. The data
 // payload is always the final len(e.Data) bytes of the frame.
 func EncodeRecord(e Entry) []byte {
-	plen := minPayload + len(e.Kind) + len(e.Key) + len(e.Data)
-	buf := make([]byte, frameLen+plen)
+	buf := make([]byte, frameSize(e))
+	plen := len(buf) - frameLen
 	binary.BigEndian.PutUint32(buf[0:], uint32(plen))
 	p := buf[frameLen:]
 	p[0] = byte(len(e.Kind))
@@ -102,6 +102,24 @@ func EncodeRecord(e Entry) []byte {
 	copy(p[off+28:], e.Data)
 	binary.BigEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(p))
 	return buf
+}
+
+// frameSize is the length of e's frame: header plus payload.
+func frameSize(e Entry) int {
+	return frameLen + minPayload + len(e.Kind) + len(e.Key) + len(e.Data)
+}
+
+// decodeFrame checks one whole frame — its length field and CRC — and
+// decodes its payload. Entry.Data aliases frame.
+func decodeFrame(frame []byte) (Entry, error) {
+	if len(frame) < frameLen || int(binary.BigEndian.Uint32(frame)) != len(frame)-frameLen {
+		return Entry{}, errors.New("store: bad frame length")
+	}
+	payload := frame[frameLen:]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(frame[4:]) {
+		return Entry{}, errors.New("store: frame CRC mismatch")
+	}
+	return decodePayload(payload)
 }
 
 // decodePayload parses one CRC-verified payload, rejecting any payload

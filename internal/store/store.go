@@ -4,19 +4,28 @@
 // clock. It implements core.ResultStore.
 //
 // Durability model: every Put appends one CRC-framed record to
-// store.log; when the log outgrows Config.CompactBytes the live index
-// is rewritten to store.snap.tmp, fsynced, atomically renamed over
+// store.log; when the log outgrows Config.CompactBytes the live frames
+// are copied to store.snap.tmp, fsynced, atomically renamed over
 // store.snap, and the log truncated back to its header. Open replays
 // snapshot then log (log wins), drops corrupt records individually,
 // truncates a torn tail, and removes an orphaned tmp from a compaction
 // that died before its rename — so a hard kill at any instant loses at
 // most the record being written.
+//
+// The in-memory index holds no strings: it maps sha256(key) to a
+// fixed-size slot locating the entry's frame, so its heap cost per entry
+// is small and independent of the key. Get reads the whole frame back,
+// checks its CRC and that the stored key is the one asked for, and takes
+// the payload and elapsed time from the record itself.
 package store
 
 import (
 	"bufio"
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -64,16 +73,18 @@ type Config struct {
 	SweepInterval time.Duration
 }
 
-// indexEntry locates one live entry's payload inside the snapshot or
-// log file plus the metadata needed without touching disk.
-type indexEntry struct {
-	src        *os.File
-	off        int64
-	n          int
-	kind       string
-	insertedAt int64
-	expiresAt  int64
-	elapsedMS  float64
+// digest is an index key: the sha256 of the engine key.
+type digest = [sha256.Size]byte
+
+// slot locates one live entry's frame inside the snapshot or the log,
+// plus what must be known without touching disk: the entry's kind (an id
+// into Store.kinds, for expiry accounting) and its absolute expiry.
+type slot struct {
+	off       int64 // frame offset in its file
+	expiresAt int64
+	n         uint32 // frame length
+	kind      uint8
+	inSnap    bool
 }
 
 // Store is a disk-backed result store. Safe for concurrent use.
@@ -83,9 +94,12 @@ type Store struct {
 	now          func() time.Time
 	compactBytes int64
 
-	mu       sync.RWMutex
-	closed   bool
-	index    map[string]indexEntry
+	mu     sync.RWMutex
+	closed bool
+	index  map[digest]slot
+	// kinds is the table slot.kind indexes; it grows on first sight of a
+	// kind and is capped at 256 entries.
+	kinds    []string
 	log      *os.File
 	snap     *os.File // nil until the first compaction (or when no snapshot exists)
 	logSize  int64
@@ -112,7 +126,7 @@ func Open(cfg Config) (*Store, error) {
 		ttls:         cfg.TTLs,
 		now:          cfg.Now,
 		compactBytes: cfg.CompactBytes,
-		index:        map[string]indexEntry{},
+		index:        map[digest]slot{},
 	}
 	if s.ttls == nil {
 		s.ttls = DefaultTTLs
@@ -172,14 +186,51 @@ func (s *Store) loadSnapshot() error {
 	}
 	s.snap = f
 	s.snapSize = int64(len(data))
+	s.indexRecords(recs, true)
+	return nil
+}
+
+// indexRecords points the index at decoded records of the snapshot or
+// the log; a later record for a key replaces an earlier one.
+func (s *Store) indexRecords(recs []Record, inSnap bool) {
 	for _, r := range recs {
-		s.index[r.Key] = indexEntry{
-			src: f, off: r.DataOff, n: len(r.Data),
-			kind: r.Kind, insertedAt: r.InsertedAt, expiresAt: r.ExpiresAt,
-			elapsedMS: r.ElapsedMS,
+		d := sha256.Sum256([]byte(r.Key))
+		kind, ok := s.kindID(r.Kind)
+		if !ok {
+			// Dropping the record must not leave an older one serving.
+			delete(s.index, d)
+			telemetry.StoreDroppedRecords.Inc()
+			continue
+		}
+		n := frameSize(r.Entry)
+		s.index[d] = slot{
+			off: r.End - int64(n), n: uint32(n), kind: kind,
+			expiresAt: r.ExpiresAt, inSnap: inSnap,
 		}
 	}
-	return nil
+}
+
+// kindID returns kind's id in the kinds table, adding it if there is
+// room.
+func (s *Store) kindID(kind string) (uint8, bool) {
+	for i, k := range s.kinds {
+		if k == kind {
+			return uint8(i), true
+		}
+	}
+	if len(s.kinds) > math.MaxUint8 {
+		return 0, false
+	}
+	s.kinds = append(s.kinds, kind)
+	return uint8(len(s.kinds) - 1), true
+}
+
+// file returns the file holding e's frame.
+func (s *Store) file(e slot) *os.File {
+	if e.inSnap {
+		return s.snap
+	}
+	return s.log
 }
 
 // loadLog indexes store.log (its records override snapshot entries),
@@ -207,13 +258,7 @@ func (s *Store) loadLog() error {
 	if dropped > 0 {
 		telemetry.StoreDroppedRecords.Add(uint64(dropped))
 	}
-	for _, r := range recs {
-		s.index[r.Key] = indexEntry{
-			src: f, off: r.DataOff, n: len(r.Data),
-			kind: r.Kind, insertedAt: r.InsertedAt, expiresAt: r.ExpiresAt,
-			elapsedMS: r.ElapsedMS,
-		}
-	}
+	s.indexRecords(recs, false)
 	if tail < int64(len(data)) {
 		telemetry.StoreDroppedRecords.Inc()
 		if err := f.Truncate(tail); err != nil {
@@ -246,60 +291,72 @@ func (s *Store) closeFiles() {
 }
 
 // expiredAt reports whether e is dead at unix-nano instant now.
-func (e indexEntry) expiredAt(now int64) bool {
+func (e slot) expiredAt(now int64) bool {
 	return e.expiresAt != 0 && now >= e.expiresAt
 }
 
 // Get implements core.ResultStore. An expired entry is a miss (and is
-// dropped from the index so a sweep isn't required for correctness).
+// dropped from the index so a sweep isn't required for correctness), and
+// so is a frame that fails its CRC or holds a different key.
 func (s *Store) Get(kind, key string) ([]byte, float64, bool) {
+	d := sha256.Sum256([]byte(key))
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return nil, 0, false
 	}
-	e, ok := s.index[key]
+	e, ok := s.index[d]
 	if ok && e.expiredAt(s.now().UnixNano()) {
 		s.mu.RUnlock()
-		s.dropExpired(key)
-		s.misses.Add(1)
-		telemetry.StoreMisses.With(kind).Inc()
-		return nil, 0, false
+		s.dropExpired(d)
+		return s.miss(kind)
 	}
 	if !ok {
 		s.mu.RUnlock()
-		s.misses.Add(1)
-		telemetry.StoreMisses.With(kind).Inc()
-		return nil, 0, false
+		return s.miss(kind)
 	}
-	data := make([]byte, e.n)
-	_, err := e.src.ReadAt(data, e.off)
+	frame := make([]byte, e.n)
+	_, err := s.file(e).ReadAt(frame, e.off)
 	s.mu.RUnlock()
 	if err != nil {
-		s.misses.Add(1)
-		telemetry.StoreMisses.With(kind).Inc()
-		return nil, 0, false
+		return s.miss(kind)
+	}
+	rec, err := decodeFrame(frame)
+	if err != nil || rec.Key != key {
+		return s.miss(kind)
 	}
 	s.hits.Add(1)
 	telemetry.StoreHits.With(kind).Inc()
-	return data, e.elapsedMS, true
+	return rec.Data, rec.ElapsedMS, true
 }
 
-// dropExpired removes key if (still) expired, under the write lock.
-func (s *Store) dropExpired(key string) {
+// miss counts one Get miss and returns Get's miss result.
+func (s *Store) miss(kind string) ([]byte, float64, bool) {
+	s.misses.Add(1)
+	telemetry.StoreMisses.With(kind).Inc()
+	return nil, 0, false
+}
+
+// dropExpired removes d if (still) expired, under the write lock.
+func (s *Store) dropExpired(d digest) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	e, ok := s.index[key]
+	e, ok := s.index[d]
 	if !ok || !e.expiredAt(s.now().UnixNano()) {
 		return
 	}
-	delete(s.index, key)
-	s.expired.Add(1)
-	telemetry.StoreExpired.With(e.kind).Inc()
+	s.expire(d, e)
 	telemetry.StoreEntries.Set(int64(len(s.index)))
+}
+
+// expire drops d's expired slot e from the index; callers hold s.mu.
+func (s *Store) expire(d digest, e slot) {
+	delete(s.index, d)
+	s.expired.Add(1)
+	telemetry.StoreExpired.With(s.kinds[e.kind]).Inc()
 }
 
 // Put implements core.ResultStore: append one record to the log,
@@ -314,27 +371,32 @@ func (s *Store) Put(kind, key string, data []byte, elapsedMS float64) error {
 	if ttl := s.ttls[kind]; ttl > 0 {
 		expiresAt = now.Add(ttl).UnixNano()
 	}
-	rec := EncodeRecord(Entry{
+	e := Entry{
 		Kind: kind, Key: key,
 		InsertedAt: now.UnixNano(), ExpiresAt: expiresAt,
 		ElapsedMS: elapsedMS, Data: data,
-	})
+	}
+	if len(kind) > math.MaxUint8 || len(key) > math.MaxUint16 || frameSize(e)-frameLen > maxRecord {
+		return errors.New("store: kind, key or payload too large for a record")
+	}
+	rec := EncodeRecord(e)
+	d := sha256.Sum256([]byte(key))
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
+	kid, ok := s.kindID(kind)
+	if !ok {
+		return fmt.Errorf("store: kind table full, cannot add %q", kind)
+	}
 	if _, err := s.log.WriteAt(rec, s.logSize); err != nil {
 		s.putErrors.Add(1)
 		telemetry.StorePutErrors.Inc()
 		return fmt.Errorf("store: append: %w", err)
 	}
-	s.index[key] = indexEntry{
-		src: s.log, off: s.logSize + int64(len(rec)-len(data)), n: len(data),
-		kind: kind, insertedAt: now.UnixNano(), expiresAt: expiresAt,
-		elapsedMS: elapsedMS,
-	}
+	s.index[d] = slot{off: s.logSize, n: uint32(len(rec)), kind: kid, expiresAt: expiresAt}
 	s.logSize += int64(len(rec))
 	s.puts.Add(1)
 	telemetry.StorePuts.With(kind).Inc()
@@ -357,11 +419,9 @@ func (s *Store) SweepExpired() int {
 	}
 	now := s.now().UnixNano()
 	removed := 0
-	for k, e := range s.index {
+	for d, e := range s.index {
 		if e.expiredAt(now) {
-			delete(s.index, k)
-			s.expired.Add(1)
-			telemetry.StoreExpired.With(e.kind).Inc()
+			s.expire(d, e)
 			removed++
 		}
 	}
@@ -385,7 +445,7 @@ func (s *Store) sweepLoop(interval time.Duration) {
 	}
 }
 
-// Compact rewrites the live, unexpired index into a fresh snapshot
+// Compact copies the live, unexpired frames into a fresh snapshot
 // (write tmp → fsync → atomic rename) and truncates the log.
 func (s *Store) Compact() error {
 	s.mu.Lock()
@@ -396,6 +456,9 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
+// compactLocked copies each live frame verbatim — the codec is canonical,
+// so nothing is decoded or re-encoded — in digest order, which makes the
+// snapshot bytes a function of the live entries alone.
 func (s *Store) compactLocked() error {
 	tmpPath := filepath.Join(s.dir, tmpName)
 	snapPath := filepath.Join(s.dir, snapName)
@@ -410,46 +473,33 @@ func (s *Store) compactLocked() error {
 		tmp.Close()
 		return err
 	}
-	// Deterministic order: a compaction of a given index always produces
-	// the same snapshot bytes.
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	type placed struct {
-		off int64
-		n   int
-	}
 	now := s.now().UnixNano()
-	offsets := make(map[string]placed, len(keys))
-	off := int64(headerLen)
-	for _, k := range keys {
-		e := s.index[k]
+	live := make([]digest, 0, len(s.index))
+	for d, e := range s.index {
 		if e.expiredAt(now) {
 			// Compaction is where expired entries' disk space dies.
-			delete(s.index, k)
-			s.expired.Add(1)
-			telemetry.StoreExpired.With(e.kind).Inc()
+			s.expire(d, e)
 			continue
 		}
-		data := make([]byte, e.n)
-		if _, err := e.src.ReadAt(data, e.off); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: compact read %q: %w", k, err)
+		live = append(live, d)
+	}
+	sort.Slice(live, func(i, j int) bool { return bytes.Compare(live[i][:], live[j][:]) < 0 })
+
+	var frame []byte
+	for _, d := range live {
+		e := s.index[d]
+		if cap(frame) < int(e.n) {
+			frame = make([]byte, e.n)
 		}
-		rec := EncodeRecord(Entry{
-			Kind: e.kind, Key: k,
-			InsertedAt: e.insertedAt, ExpiresAt: e.expiresAt,
-			ElapsedMS: e.elapsedMS, Data: data,
-		})
-		if _, err := w.Write(rec); err != nil {
+		frame = frame[:e.n]
+		if _, err := s.file(e).ReadAt(frame, e.off); err != nil {
+			tmp.Close()
+			return fmt.Errorf("store: compact read: %w", err)
+		}
+		if _, err := w.Write(frame); err != nil {
 			tmp.Close()
 			return err
 		}
-		offsets[k] = placed{off: off + int64(len(rec)-len(data)), n: len(data)}
-		off += int64(len(rec))
 	}
 	if err := w.Flush(); err != nil {
 		tmp.Close()
@@ -480,12 +530,15 @@ func (s *Store) compactLocked() error {
 		_ = s.snap.Close()
 	}
 	s.snap = newSnap
-	s.snapSize = off
-	for k, p := range offsets {
-		e := s.index[k]
-		e.src, e.off, e.n = newSnap, p.off, p.n
-		s.index[k] = e
+	// The frames sit back to back in digest order.
+	off := int64(headerLen)
+	for _, d := range live {
+		e := s.index[d]
+		e.off, e.inSnap = off, true
+		s.index[d] = e
+		off += int64(e.n)
 	}
+	s.snapSize = off
 	s.compactions.Add(1)
 	telemetry.StoreCompactions.Inc()
 	s.publishGauges()
