@@ -32,7 +32,7 @@ PROFILEDIR ?= profiles
 LINTBIN ?= bin/libra-lint
 
 .PHONY: build build-examples test race lint lint-build lint-baseline \
-	lint-selftest bench bench-baseline bench-check \
+	lint-selftest bench bench-baseline bench-check bench-check-cores \
 	bench-record profile cover fuzz-smoke validate validate-baseline \
 	validate-check smoke
 
@@ -82,22 +82,32 @@ lint-selftest: lint-build
 	else echo "lint-selftest: seeded violations detected, pipeline can fail"; fi
 
 # bench prints the benchmark suite; bench-baseline regenerates the
-# committed baseline the CI bench job gates against. Regenerate it on the
-# machine class you care about after intentional performance changes.
+# committed baseline the CI bench job gates against, at GOMAXPROCS=1 so
+# the single-threaded anchors normalize every gated benchmark on any
+# host. Regenerate it after intentional performance changes.
 bench:
 	$(GO) test $(BENCHARGS)
 
 bench-baseline:
-	$(GO) test $(BENCHARGS) | $(GO) run ./cmd/benchdiff parse -out BENCH_baseline.json
+	set -o pipefail; GOMAXPROCS=1 $(GO) test $(BENCHARGS) | $(GO) run ./cmd/benchdiff parse -out BENCH_baseline.json
 	@echo "wrote BENCH_baseline.json"
 
-# bench-check is exactly what CI runs: measure, snapshot to BENCH_ci.json,
-# and fail on >25% regression vs the committed baseline (anchor-normalized
-# so machine-speed differences cancel without masking suite-wide
+# bench-check is exactly what CI runs: measure at GOMAXPROCS=1, the
+# setting the baseline is recorded at, snapshot to BENCH_ci.json, and fail
+# on >25% regression vs the committed baseline (anchor-normalized so
+# machine-speed differences cancel without masking suite-wide
 # regressions).
 bench-check:
-	set -o pipefail; $(GO) test $(BENCHARGS) | $(GO) run ./cmd/benchdiff parse -out BENCH_ci.json
+	set -o pipefail; GOMAXPROCS=1 $(GO) test $(BENCHARGS) | $(GO) run ./cmd/benchdiff parse -out BENCH_ci.json
 	$(GO) run ./cmd/benchdiff compare -baseline BENCH_baseline.json -current BENCH_ci.json -threshold 0.25 -anchors "$(ANCHORS)" -skip "$(SKIPGATE)"
+
+# bench-check-cores is CI's second gated run: the same suite, anchors and
+# skip list at the host's own core count (BENCH_ci_cores.json), so a
+# parallel path that costs allocs or time over the single-core baseline
+# fails the gate too.
+bench-check-cores:
+	set -o pipefail; $(GO) test $(BENCHARGS) | $(GO) run ./cmd/benchdiff parse -out BENCH_ci_cores.json
+	$(GO) run ./cmd/benchdiff compare -baseline BENCH_baseline.json -current BENCH_ci_cores.json -threshold 0.25 -anchors "$(ANCHORS)" -skip "$(SKIPGATE)"
 
 # bench-record appends the last bench-check measurement (BENCH_ci.json) to
 # the BENCH_history.jsonl perf log with vs-baseline ratios. LABEL tags the

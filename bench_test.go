@@ -126,11 +126,12 @@ func BenchmarkPerfOptSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkMinimizeSequential / BenchmarkMinimizeParallel compare the
-// multistart solver's two execution paths on the nonconvex perf-per-cost
-// shape (convex PerfOpt early-exits after one start, leaving nothing to
-// parallelize). Results are bit-identical by construction; on a 4+ core
-// machine the parallel path should run the 12 starts ≥2x faster.
+// BenchmarkMinimizeSequential / BenchmarkMinimizeParallel run the
+// multistart at one worker and at GOMAXPROCS workers on the nonconvex
+// perf-per-cost shape, whose starts run as one batch (a convex PerfOpt
+// solve runs one start at a time, leaving nothing to parallelize).
+// Results are bit-identical by construction; on a 4+ core machine the
+// parallel run should finish its 12 + 4 starts ≥2x faster.
 func minimizeBenchProblem(workers int) *libra.Problem {
 	net := topology.FourD4K()
 	w, err := workload.MSFT1T(net.NPUs())
@@ -250,11 +251,13 @@ func BenchmarkFrontier(b *testing.B) {
 // BenchmarkCoDesign runs a three-strategy §VI-E co-design study (MSFT-1T
 // on 4D-4K) per iteration: enumerate + memory-model + baseline pricing +
 // per-candidate optimize/EqualBW through the engine. Caching is disabled
-// and every parallelism lever pinned — one engine worker serializes the
-// candidates, and Starts:1 leaves the multistart solver nothing to fan
-// out (opt.Options.Workers follows GOMAXPROCS and is not spec-pinnable) —
-// so the measurement tracks the candidate-solve pipeline, not the host's
-// core count, keeping it anchor-normalizable and gateable by benchdiff.
+// and one engine worker serializes the candidates. Every solve is a
+// convex PerfOpt solve, which the multistart runs one start at a time
+// (Starts:1 still builds up to 1 + 4 seeds on this 4-dimension topology),
+// so opt.Options.Workers, which follows GOMAXPROCS and is not
+// spec-pinnable, has nothing to fan out. The measurement tracks the
+// candidate-solve pipeline, not the host's core count, keeping it
+// anchor-normalizable and gateable by benchdiff.
 func BenchmarkCoDesign(b *testing.B) {
 	spec := &libra.CoDesignSpec{
 		Base: libra.ProblemSpec{
@@ -283,9 +286,10 @@ func BenchmarkCoDesign(b *testing.B) {
 // BenchmarkCluster runs a two-tenant §VI-D allocation study per
 // iteration: own-opt + group-opt + partition-grid solves, the per-tenant
 // cross-pricing of every shared design, and the fairness metrics. Like
-// BenchmarkCoDesign it pins every parallelism lever — one engine worker,
-// no cache, Starts:1 — so the measurement tracks the study pipeline, not
-// the host's core count, keeping it anchor-normalizable and gateable.
+// BenchmarkCoDesign it runs one engine worker with no cache, and every
+// solve is convex, so it runs one start at a time whatever the core
+// count: the measurement tracks the study pipeline, keeping it
+// anchor-normalizable and gateable.
 func BenchmarkCluster(b *testing.B) {
 	spec := &libra.ClusterSpec{
 		Topology:       "4D-4K",

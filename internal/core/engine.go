@@ -22,11 +22,13 @@ var ErrBadSpec = errors.New("core: invalid problem spec")
 
 // EngineConfig tunes the service layer. Zero values select defaults.
 type EngineConfig struct {
-	// Workers bounds concurrent solves (default GOMAXPROCS). Each solve's
-	// multistart additionally parallelizes internally (opt.Options.Workers,
-	// also GOMAXPROCS by default), so a saturated engine oversubscribes
-	// the CPU; the Go scheduler time-slices this fine, and an idle engine
-	// still finishes a lone request on every core. Deliberately not
+	// Workers bounds concurrent solves (default GOMAXPROCS). A solve's
+	// multistart fans out internally (opt.Options.Workers, also GOMAXPROCS
+	// by default) only across the starts of a nonconvex batch such as a
+	// perf-per-cost solve; convex PerfOpt solves run one start at a time.
+	// So a saturated engine oversubscribes the CPU only while
+	// perf-per-cost solves run, and an idle engine still spreads a lone
+	// perf-per-cost request over every core. Deliberately not
 	// spec-controllable — worker counts never change results.
 	Workers int
 	// CacheSize bounds the LRU result cache in entries (default 512;

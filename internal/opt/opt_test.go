@@ -2,9 +2,15 @@ package opt
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"libra/internal/telemetry"
 )
 
 func approx(a, b, tol float64) bool {
@@ -409,6 +415,102 @@ func TestMinimizeParallelCancellation(t *testing.T) {
 	p := perfPerCostProblem(3)
 	if _, err := MinimizeContext(ctx, p, Options{Workers: 4}); err == nil {
 		t.Fatal("canceled context should error")
+	}
+}
+
+// The starts counter must count only starts that ran: its delta over one
+// solve equals Result.Starts at every worker count, for the convex exit,
+// the full cold multistart, and warm solves with and without the cutoff.
+func TestSolverStartsCountsOnlyRunStarts(t *testing.T) {
+	convex := Problem{
+		N: 4,
+		Objective: func(x []float64) float64 {
+			s := 0.0
+			for i, v := range x {
+				s += (v - float64(i+1)) * (v - float64(i+1))
+			}
+			return s
+		},
+		Cons: NewConstraints(4).SumEquals(12).SetAllLower(0),
+	}
+	p := perfPerCostProblem(3)
+	cold, err := Minimize(p, Options{Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		p       Problem
+		o       Options
+		wantCut bool
+	}{
+		{"convex", convex, Options{Convex: true, Starts: 8}, false},
+		{"cold", p, Options{Seed: 7, Starts: 10}, false},
+		{"warm-cut", p, Options{Seed: 7, WarmStart: cold.X, WarmTol: DefaultWarmTol}, true},
+		{"warm-full", p, Options{Seed: 7, WarmStart: cold.X}, false},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 8} {
+			o := tc.o
+			o.Workers = workers
+			before := telemetry.SolverStarts.Value()
+			res, err := Minimize(tc.p, o)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
+			}
+			if got := telemetry.SolverStarts.Value() - before; got != uint64(res.Starts) {
+				t.Errorf("%s workers=%d: SolverStarts delta = %d, Result.Starts = %d", tc.name, workers, got, res.Starts)
+			}
+			if res.WarmCut != tc.wantCut {
+				t.Errorf("%s workers=%d: WarmCut = %v, want %v", tc.name, workers, res.WarmCut, tc.wantCut)
+			}
+		}
+	}
+}
+
+// No objective call may outlive MinimizeContext: a context canceled from
+// inside the objective mid-batch returns the wrapped context error, a
+// flag set after return is never seen by the objective, and every worker
+// goroutine is gone.
+func TestObjectiveNeverCalledAfterReturn(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	var returned, lateCall atomic.Bool
+	p := perfPerCostProblem(3)
+	inner := p.Objective
+	p.Objective = func(x []float64) float64 {
+		if returned.Load() {
+			lateCall.Store(true)
+		}
+		// seedPoints evaluates each of the ~19 seeds once; by call 500
+		// the batch of starts is running on the workers.
+		if calls.Add(1) == 500 {
+			cancel()
+		}
+		return inner(x)
+	}
+	_, err := MinimizeContext(ctx, p, Options{Seed: 7, Starts: 16, Workers: 8})
+	returned.Store(true)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a wrapped context.Canceled", err)
+	}
+	if calls.Load() < 500 {
+		t.Fatalf("objective ran %d times; the cancel never fired", calls.Load())
+	}
+	// A worker that has called wg.Done may not have exited yet, so wait
+	// for the count to settle; once it has, no goroutine is left that
+	// could call the objective.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("NumGoroutine = %d after return, want %d", n, goroutines)
+	}
+	if lateCall.Load() {
+		t.Error("objective was called after MinimizeContext returned")
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"libra/internal/telemetry"
 )
@@ -15,9 +16,10 @@ import (
 type Problem struct {
 	N int
 	// Objective must be finite on the feasible set; +Inf outside is fine.
-	// Unless Options.Workers is 1, multistart runs concurrently, so the
-	// objective (and Grad) must be safe for concurrent calls — pure
-	// functions of x, as every closure in this repository is.
+	// Unless Options.Workers is 1, the starts of a batch (see
+	// MinimizeContext) run concurrently, so the objective (and Grad) must
+	// be safe for concurrent calls — pure functions of x, as every closure
+	// in this repository is.
 	Objective func(x []float64) float64
 	// Grad is optional; nil uses central finite differences.
 	Grad func(x []float64) []float64
@@ -46,8 +48,11 @@ type Options struct {
 	// 0 selects the default 1e-9; negative values (use TolExact) select
 	// an exactly-zero tolerance.
 	Tol float64
-	// Starts is the multistart count (default 8). Starts are
-	// deterministic: heuristic seeds first, then seeded-random points.
+	// Starts sizes the multistart (default 8): the seed set holds up to
+	// Starts + N points (N the problem dimension; one more with a
+	// WarmStart), heuristic seeds first, then seeded-random points, so
+	// Starts: 1 on a 4-variable problem can still run 5 starts. The
+	// early exits (Convex, WarmTol) may stop the solve sooner.
 	Starts int
 	// Seed drives the deterministic PRNG for random starts. 0 selects
 	// the default seed 1; use SeedZero for the literal seed 0.
@@ -55,10 +60,10 @@ type Options struct {
 	// Convex declares the objective convex, enabling single-start early
 	// exit once the local search converges.
 	Convex bool
-	// Workers bounds the goroutines running starts concurrently:
-	// 0 selects GOMAXPROCS, 1 forces the sequential path. Whatever the
-	// worker count, the result is bit-identical to the sequential solve
-	// for a fixed seed.
+	// Workers bounds the goroutines running the starts of one batch
+	// concurrently: 0 selects GOMAXPROCS, 1 runs every start on the
+	// calling goroutine. Whatever the worker count, the result is
+	// bit-identical for a fixed seed.
 	Workers int
 	// Strategy selects the per-start local search (default
 	// StrategyProjectedGradient).
@@ -177,9 +182,13 @@ func Minimize(p Problem, o Options) (Result, error) {
 // iterations and returns ctx.Err() (wrapped) as soon as the context is
 // canceled or its deadline passes, discarding any partial progress.
 //
-// Starts run concurrently on up to Options.Workers goroutines, but result
-// selection replays the sequential order, so the returned X/F/Starts are
-// bit-identical to a Workers: 1 solve for the same seed.
+// Starts run in seed order, in batches that end wherever an early exit
+// may stop the solve: one start at a time under Convex, the warm start
+// and the first cold start ahead of the rest under the warm cutoff, and
+// every start at once otherwise. A batch runs on up to Options.Workers
+// goroutines and is folded in seed order, so the returned
+// X/F/Starts are bit-identical for every worker count, and only starts
+// the selection can use are run.
 //
 // Warm-starting (Options.WarmStart) is equally deterministic: the warm
 // point is prepended to the unchanged cold seed set, so a fixed
@@ -203,16 +212,7 @@ func MinimizeContext(ctx context.Context, p Problem, o Options) (Result, error) 
 		return Result{}, fmt.Errorf("opt: could not build any feasible start (empty feasible set?)")
 	}
 
-	workers := o.Workers
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	var res Result
-	if workers <= 1 {
-		res, err = minimizeSequential(ctx, p, seeds, o, warm)
-	} else {
-		res, err = minimizeParallel(ctx, p, seeds, o, workers, warm)
-	}
+	res, err := multistart(ctx, p, seeds, o, warm)
 	if err != nil {
 		return res, err
 	}
@@ -241,9 +241,9 @@ type startOutcome struct {
 
 // runStart performs the full per-start local search under the selected
 // strategy. It is a pure function of (p, start, o) — scheduling cannot
-// change its result — which is what makes parallel multistart
+// change its result — which is what makes a concurrent batch
 // deterministic. Warm and cold starts run the identical search: the
-// warm-start cutoff is a selection decision (see folder.fold), not a
+// warm-start cutoff is a selection decision (see multistart), not a
 // different per-start algorithm.
 //
 //libra:hotpath
@@ -271,117 +271,75 @@ func runStart(ctx context.Context, p Problem, start []float64, o Options) startO
 	}
 }
 
-// folder replays the historical sequential selection (strict improvement,
-// first-come ties) over per-start outcomes and decides the early exits:
-// the convex single-start exit and the warm-start adaptive cutoff. Both
-// execution paths drive one folder, so their selection semantics cannot
-// drift apart.
-type folder struct {
-	o    Options
-	warm bool // seeds[0] is an injected warm start
-	best Result
-	// warmOut holds start 0's outcome while the cutoff is undecided.
-	warmOut startOutcome
-}
-
-func newFolder(o Options, warm bool) *folder {
-	return &folder{o: o, warm: warm, best: Result{F: math.Inf(1)}}
-}
-
-// fold merges start si's outcome into the running best and reports
-// whether to stop issuing starts.
-func (fd *folder) fold(out startOutcome, si int) bool {
-	if out.f < fd.best.F {
-		fd.best = Result{X: out.x, F: out.f, Converged: out.conv}
-	}
-	fd.best.Starts = si + 1
-	if fd.o.Convex && out.conv {
-		return true
-	}
-	if fd.warm && fd.o.WarmTol > 0 {
-		switch si {
-		case 0:
-			fd.warmOut = out
-		case 1:
+// multistart runs the seeds in the batches MinimizeContext describes —
+// under Convex one at a time, because the exit can fire after any
+// converged start — and folds each batch in seed order (strict
+// improvement, first-come ties) into the running best, deciding the two
+// early exits: the convex exit and the warm-start adaptive cutoff.
+func multistart(ctx context.Context, p Problem, seeds [][]float64, o Options, warm bool) (Result, error) {
+	cutoff := warm && o.WarmTol > 0
+	outs := make([]startOutcome, len(seeds))
+	best := Result{F: math.Inf(1)}
+	for lo := 0; lo < len(seeds); {
+		hi := len(seeds)
+		switch {
+		case o.Convex:
+			hi = lo + 1
+		case cutoff && lo == 0:
+			hi = min(2, hi)
+		}
+		runBatch(ctx, p, seeds[lo:hi], outs[lo:hi], o)
+		if err := ctx.Err(); err != nil {
+			return Result{}, fmt.Errorf("opt: solve canceled: %w", err)
+		}
+		for si := lo; si < hi; si++ {
+			out := outs[si]
+			if out.f < best.F {
+				best = Result{X: out.x, F: out.f, Converged: out.conv}
+			}
+			best.Starts = si + 1
+			if o.Convex && out.conv {
+				return finish(best)
+			}
 			// Adaptive cutoff: the warm search converged and matched or
 			// beat the strongest cold seed's full search within WarmTol,
 			// so the neighbor's basin has proven itself and the remaining
 			// starts are skipped.
-			if fd.warmOut.conv && fd.warmOut.f <= out.f+fd.o.WarmTol*math.Max(math.Abs(out.f), 1e-12) {
-				fd.best.WarmCut = true
-				return true
+			if cutoff && si == 1 && outs[0].conv && outs[0].f <= out.f+o.WarmTol*math.Max(math.Abs(out.f), 1e-12) {
+				best.WarmCut = true
+				return finish(best)
 			}
 		}
+		lo = hi
 	}
-	return false
+	return finish(best)
 }
 
-func minimizeSequential(ctx context.Context, p Problem, seeds [][]float64, o Options, warm bool) (Result, error) {
-	fd := newFolder(o, warm)
-	for si, s := range seeds {
-		out := runStart(ctx, p, s, o)
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("opt: solve canceled: %w", err)
+// runBatch runs one batch of starts into outs on up to o.Workers
+// goroutines (inline when one suffices) and stops taking new starts once
+// ctx is done. It returns only after every start has finished, so no
+// objective call outlives the solve: callers are free to repurpose the
+// objective closure as soon as MinimizeContext returns.
+func runBatch(ctx context.Context, p Problem, seeds [][]float64, outs []startOutcome, o Options) {
+	workers := min(o.Workers, len(seeds))
+	if workers <= 1 {
+		for i := 0; i < len(seeds) && ctx.Err() == nil; i++ {
+			outs[i] = runStart(ctx, p, seeds[i], o)
 		}
-		if fd.fold(out, si) {
-			break
-		}
+		return
 	}
-	return finish(fd.best)
-}
-
-// minimizeParallel fans the starts out over a bounded worker pool and
-// replays the sequential selection over the per-start outcomes in seed
-// order. Outcomes past a convex early exit are computed speculatively and
-// discarded; the shared context cancels whatever is still in flight.
-func minimizeParallel(ctx context.Context, p Problem, seeds [][]float64, o Options, workers int, warm bool) (Result, error) {
-	runCtx, cancel := context.WithCancel(ctx)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	// On return: cancel speculative in-flight starts first, then wait for
-	// the workers to drain (deferred calls run last-registered-first). No
-	// worker may outlive this call — callers are free to repurpose the
-	// objective closure as soon as we return.
-	defer wg.Wait()
-	defer cancel()
-
-	outcomes := make([]startOutcome, len(seeds))
-	done := make([]chan struct{}, len(seeds))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	jobs := make(chan int)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for si := range jobs {
-				outcomes[si] = runStart(runCtx, p, seeds[si], o)
-				close(done[si])
+			for i := int(next.Add(1) - 1); i < len(seeds) && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+				outs[i] = runStart(ctx, p, seeds[i], o)
 			}
 		}()
 	}
-	go func() {
-		// Feed every seed: canceled starts drain in microseconds, so no
-		// select on runCtx is needed to keep this goroutine from leaking.
-		for si := range seeds {
-			jobs <- si
-		}
-		close(jobs)
-	}()
-
-	fd := newFolder(o, warm)
-	for si := range seeds {
-		<-done[si]
-		// A consumed outcome always ran under a live context here: cancel
-		// only happens on return, after consumption stops.
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("opt: solve canceled: %w", err)
-		}
-		if fd.fold(outcomes[si], si) {
-			break
-		}
-	}
-	return finish(fd.best)
+	wg.Wait()
 }
 
 func finish(best Result) (Result, error) {

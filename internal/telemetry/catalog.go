@@ -65,7 +65,7 @@ var (
 	SolverSolves = Default.NewCounter("libra_solver_solves_total",
 		"Multistart solves completed.")
 	SolverStarts = Default.NewCounter("libra_solver_starts_total",
-		"Local-search starts launched (including speculative parallel starts).")
+		"Local-search starts run (a successful solve adds its Result.Starts).")
 	SolverStartsSkipped = Default.NewCounter("libra_solver_starts_skipped_total",
 		"Starts skipped by the warm-start WarmTol adaptive cutoff.")
 	SolverWarmSolves = Default.NewCounter("libra_solver_warm_solves_total",
